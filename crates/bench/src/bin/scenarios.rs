@@ -1,5 +1,5 @@
-//! Prints the experiment scenario tables (E1, E6, E7, E8a, E8b, E9, E10,
-//! E11, E12, E13) that used to be side effects of `cargo bench`.
+//! Prints the experiment scenario tables (E1, E6, E7, E8a, E8b, E8c, E9,
+//! E10, E11, E12, E13) that used to be side effects of `cargo bench`.
 //!
 //! Usage:
 //!
@@ -35,7 +35,7 @@
 //! `IDENTXX_E11_SMOKE=1` shrinks its minutes-long cells to seconds.
 //!
 //! `--json` additionally writes each quantitative experiment's cells to
-//! `BENCH_<EXP>.json` in the working directory (E8a, E8b, E9, E10, E11,
+//! `BENCH_<EXP>.json` in the working directory (E8a, E8b, E8c, E9, E10, E11,
 //! E12, E13) — each with a trailing environment row recording cores and the
 //! `IDENTXX_*` knobs — so CI can upload them as artifacts and track the
 //! perf trajectory across PRs.
@@ -71,7 +71,7 @@ fn main() {
         .collect();
     let selected: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
-            "e1", "e6", "e7", "e8a", "e8b", "e9", "e10", "e11", "e12", "e13",
+            "e1", "e6", "e7", "e8a", "e8b", "e8c", "e9", "e10", "e11", "e12", "e13",
         ]
     } else {
         args.iter().map(String::as_str).collect()
@@ -96,6 +96,7 @@ fn main() {
             }
             "e8a" => scenarios::print_e8a(),
             "e8b" => scenarios::print_e8b(),
+            "e8c" => scenarios::print_e8c(),
             "e9" => scenarios::print_e9(&e9_shard_counts(), E9_SMOKE_FLOWS),
             "e10" => scenarios::print_e10(e10_smoke),
             "e11" => e11::print_e11(e11_smoke),
@@ -103,7 +104,7 @@ fn main() {
             "e13" => scenarios::print_e13(e13_smoke),
             other => {
                 eprintln!(
-                    "unknown experiment {other:?}; expected e1, e6, e7, e8a, e8b, e9, e10, e11, e12, e13, or all"
+                    "unknown experiment {other:?}; expected e1, e6, e7, e8a, e8b, e8c, e9, e10, e11, e12, e13, or all"
                 );
                 std::process::exit(2);
             }

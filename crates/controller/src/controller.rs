@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use identxx_crypto::{SignedBundle, VerifyCache, VerifyCacheStats};
+use identxx_crypto::{VerifyCache, VerifyCacheStats};
 use identxx_pf::{
     CompiledPolicy, Decision, EvalContext, PfError, PolicyCompiler, RuleSet, StateTable, Verdict,
 };
@@ -79,7 +79,8 @@ pub struct IdentxxController {
     augmenters: Vec<Box<dyn ResponseAugmenter>>,
     /// The amortized `verify()` plane: shared with the compiled policy (and
     /// every interpreter context it spawns), drained into audit notes after
-    /// each decision, prewarmed by `decide_batch`.
+    /// each decision. Only bundles a rule actually reads are verified; a
+    /// batch's repeated bundle is verified once, on its first evaluation.
     verify_cache: Arc<VerifyCache>,
     /// A compromised controller (§5.1) stops enforcing anything.
     compromised: bool,
@@ -559,48 +560,6 @@ impl IdentxxController {
                     .collect();
                 self.backend.query_flows(&requests)
             };
-            // Batch verification: warm the verify plane with each *distinct*
-            // signed delegation bundle the responses carry, so a batch
-            // presenting the same bundle N times pays its ed25519 curve math
-            // once up front and every per-flow evaluation below hits the
-            // cache. Prewarming records no audit events (the evaluations
-            // record the real ones) and is correctness-neutral: a bundle
-            // whose policy covers different items simply misses. Raw legacy
-            // signatures carry no key id to resolve, so they skip the
-            // prewarm and amortize through the cache from their first
-            // evaluation instead.
-            let mut prewarmed: Vec<&str> = Vec::new();
-            for (p, queried) in pending.iter().zip(responses.iter()) {
-                let ends = [
-                    p.src.as_ref().or(queried.src.as_ref()),
-                    p.dst.as_ref().or(queried.dst.as_ref()),
-                ];
-                for response in ends.into_iter().flatten() {
-                    let Some(sig) = response.latest(well_known::REQ_SIG) else {
-                        continue;
-                    };
-                    if prewarmed.contains(&sig) {
-                        continue;
-                    }
-                    let Ok(bundle) = SignedBundle::from_hex(sig) else {
-                        continue;
-                    };
-                    let Some(key) = self.config.trusted_keys.get(&bundle.key_id) else {
-                        continue;
-                    };
-                    let items = [
-                        response.latest(well_known::EXE_HASH).unwrap_or(""),
-                        response
-                            .latest(well_known::APP_NAME)
-                            .or_else(|| response.latest(well_known::APP_NAME_ALT))
-                            .unwrap_or(""),
-                        response.latest(well_known::REQUIREMENTS).unwrap_or(""),
-                    ];
-                    self.verify_cache
-                        .prewarm_hex_at(sig, &key.to_hex(), &items, now);
-                    prewarmed.push(sig);
-                }
-            }
             for (p, queried) in pending.into_iter().zip(responses) {
                 // Re-check the cache: an earlier flow of this very batch may
                 // have inserted an entry this flow aliases (its repeat, its
@@ -1706,11 +1665,11 @@ mod tests {
     }
 
     #[test]
-    fn decide_batch_prewarms_each_distinct_bundle_once() {
+    fn decide_batch_verifies_each_distinct_bundle_once() {
         let signer = KeyPair::from_seed(b"Secur");
         // Five distinct flows from the same delegated app: the batch's
-        // responses all carry the identical bundle. The prewarm pass should
-        // verify it once; every per-flow evaluation then hits the cache.
+        // responses all carry the identical bundle. The first evaluation
+        // verifies it; the other four hit the content-addressed cache.
         let exe_hash = "f00dfeed";
         let bundle = sign_bundle_windowed(
             &signer,
@@ -1747,15 +1706,72 @@ mod tests {
             stats.misses, 1,
             "one batch, one distinct bundle, one round of curve math: {stats:?}"
         );
-        assert_eq!(stats.hits, 5, "every evaluation served from the cache");
-        // The prewarm recorded no events — only the five real evaluations.
-        let cached_notes = controller
-            .audit()
-            .policy_notes()
-            .iter()
-            .filter(|n| n.category == "verify-cached")
-            .count();
-        assert_eq!(cached_notes, 5);
+        assert_eq!(
+            stats.hits, 4,
+            "every later evaluation served from the cache"
+        );
+        let count = |category: &str| {
+            controller
+                .audit()
+                .policy_notes()
+                .iter()
+                .filter(|n| n.category == category)
+                .count()
+        };
+        assert_eq!(count("verify-fresh"), 1);
+        assert_eq!(count("verify-cached"), 4);
+    }
+
+    #[test]
+    fn unread_bundles_are_never_verified() {
+        // The policy reads only `@src[req-sig]`. A destination presenting a
+        // bundle — valid or forged, under the trusted key id — must cost no
+        // verification at all: no miss, no hit, no `verify-*` note.
+        let signer = KeyPair::from_seed(b"Secur");
+        let exe_hash = "f00dfeed";
+        let bundle = sign_bundle_windowed(
+            &signer,
+            "Secur",
+            0,
+            1_000,
+            &[exe_hash, "httpd", DELEGATED_REQS],
+        );
+        for forged in [false, true] {
+            let name = if forged { "imposter" } else { "httpd" };
+            let backend = crate::backend::RecordingBackend::new()
+                .with_answer(
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    vec![("name".to_string(), "research-app".to_string())],
+                )
+                .with_answer(
+                    Ipv4Addr::new(10, 0, 0, 2),
+                    vec![
+                        ("name".to_string(), name.to_string()),
+                        ("exe-hash".to_string(), exe_hash.to_string()),
+                        ("requirements".to_string(), DELEGATED_REQS.to_string()),
+                        ("req-sig".to_string(), bundle.to_hex()),
+                    ],
+                );
+            let mut controller = IdentxxController::new(delegation_config(&signer))
+                .unwrap()
+                .with_backend(Box::new(backend));
+            let flows: Vec<FiveTuple> = (0..3)
+                .map(|i| FiveTuple::tcp([10, 0, 0, 1], 41_000 + i, [10, 0, 0, 2], 80))
+                .collect();
+            controller.decide_batch(&flows, 10);
+            controller.decide(&flows[0], 20);
+            let stats = controller.verify_stats();
+            assert_eq!(stats.misses, 0, "forged {forged}: {stats:?}");
+            assert_eq!(stats.hits, 0, "forged {forged}: {stats:?}");
+            assert!(
+                controller
+                    .audit()
+                    .policy_notes()
+                    .iter()
+                    .all(|n| !n.category.starts_with("verify-")),
+                "forged {forged}: an unread bundle left a verify note"
+            );
+        }
     }
 
     #[test]

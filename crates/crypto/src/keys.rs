@@ -15,17 +15,22 @@
 //! hex value, when the dictionary stores the key material inline).
 //!
 //! Keys are real ed25519 keys ([`crate::ed25519`]): the secret key is the
-//! 32-byte RFC 8032 seed, the public key its 32-byte compressed curve point
-//! (64 hex characters in `.control` files).
+//! RFC 8032 expansion of a 32-byte seed, the public key its 32-byte
+//! compressed curve point (64 hex characters in `.control` files).
 
 use std::collections::BTreeMap;
 
 use crate::ed25519;
 use crate::sha256::{from_hex, sha256, to_hex};
 
-/// A secret (signing) key: the 32-byte ed25519 seed.
+/// A secret (signing) key: the RFC 8032 expansion of a 32-byte ed25519
+/// seed — the clamped secret scalar and the nonce prefix — kept so signing
+/// does not re-derive them.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SecretKey(pub(crate) [u8; 32]);
+pub struct SecretKey {
+    scalar: [u8; 32],
+    prefix: [u8; 32],
+}
 
 impl std::fmt::Debug for SecretKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -76,9 +81,10 @@ impl KeyPair {
     /// ed25519 seed from a CSPRNG instead.
     pub fn from_seed(seed: &[u8]) -> KeyPair {
         let digest = sha256(&[b"identxx-keypair:", seed].concat());
+        let (scalar, prefix) = ed25519::expand_seed(&digest);
         KeyPair {
-            secret: SecretKey(digest),
-            public: PublicKey(ed25519::derive_public(&digest)),
+            secret: SecretKey { scalar, prefix },
+            public: PublicKey(ed25519::public_from_scalar(&scalar)),
         }
     }
 
@@ -96,7 +102,12 @@ impl KeyPair {
 
     /// Signs a raw message.
     pub fn sign(&self, message: &[u8]) -> ed25519::Signature {
-        ed25519::sign(&self.secret.0, message)
+        ed25519::sign_expanded(
+            &self.secret.scalar,
+            &self.secret.prefix,
+            &self.public.0,
+            message,
+        )
     }
 }
 
@@ -207,5 +218,15 @@ mod tests {
         let msg = b"m";
         let sig = kp.sign(msg);
         assert!(crate::ed25519::verify(kp.public().as_bytes(), msg, &sig));
+    }
+
+    #[test]
+    fn stored_expansion_signs_like_the_seed() {
+        let digest = sha256(b"identxx-keypair:research");
+        let kp = KeyPair::from_seed(b"research");
+        assert_eq!(kp.public().0, ed25519::derive_public(&digest));
+        for msg in [&b""[..], b"m", b"pass all with allowed(@src[requirements])"] {
+            assert_eq!(kp.sign(msg), ed25519::sign(&digest, msg));
+        }
     }
 }

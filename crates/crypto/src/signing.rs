@@ -29,7 +29,7 @@
 
 use std::fmt;
 
-use crate::ed25519::{self, Signature};
+use crate::ed25519::{self, Signature, VerifyingKey};
 use crate::keys::{KeyPair, PublicKey};
 use crate::sha256::{from_hex, to_hex};
 
@@ -294,11 +294,10 @@ impl ParsedSig {
     }
 
     /// Runs the curve math only (no window check).
-    pub(crate) fn signature_valid<S: AsRef<str>>(&self, key: &PublicKey, items: &[S]) -> bool {
+    pub(crate) fn signature_valid<S: AsRef<str>>(&self, key: &VerifyingKey, items: &[S]) -> bool {
         match self {
-            ParsedSig::Raw(sig) => verify_bundle(sig, key, items),
-            ParsedSig::Windowed(b) => ed25519::verify(
-                key.as_bytes(),
+            ParsedSig::Raw(sig) => key.verify(&canonical_encoding(items), sig),
+            ParsedSig::Windowed(b) => key.verify(
                 &windowed_encoding(&b.key_id, b.not_before, b.not_after, items),
                 &b.signature,
             ),
@@ -337,7 +336,10 @@ pub fn verify_bundle_hex_at<S: AsRef<str>>(
             return Err(VerifyError::Expired { not_after, now });
         }
     }
-    if parsed.signature_valid(&key, items) {
+    // A key that names no curve point verifies nothing.
+    let valid = VerifyingKey::from_bytes(key.as_bytes())
+        .is_some_and(|key| parsed.signature_valid(&key, items));
+    if valid {
         Ok(())
     } else {
         Err(VerifyError::Forged)

@@ -1,7 +1,7 @@
 //! Amortized bundle verification: a sharded, capped LRU of verdicts.
 //!
-//! A full ed25519 verification costs two scalar multiplications — hundreds of
-//! microseconds of curve math. But controllers see the *same* delegation
+//! A full ed25519 verification costs a joint double-scalar multiplication —
+//! tens of microseconds of curve math. But controllers see the *same* delegation
 //! bundle over and over: every flow from the same application presents the
 //! identical `(req-sig, key, exe-hash, app-name, requirements)` tuple. The
 //! verdict for a given bundle is immutable (a signature either verifies or it
@@ -18,7 +18,9 @@
 //! 4. on a miss, runs the curve math *outside* the shard lock and inserts the
 //!    boolean verdict (negative verdicts are cached too: a forged bundle
 //!    replayed a million times should cost a million hashes, not a million
-//!    scalar multiplications).
+//!    scalar multiplications). The signer's public key is decompressed once
+//!    and kept beside the verdicts, keyed by its 32 bytes, so a fresh verify
+//!    under a known key pays only the joint scalar multiplication.
 //!
 //! A hit costs one SHA-256 of the bundle text plus two integer compares — the
 //! "one hash + expiry check" fast path the roadmap asks for. The cache is
@@ -32,6 +34,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::ed25519::VerifyingKey;
 use crate::keys::PublicKey;
 use crate::sha256::Sha256;
 use crate::signing::{parse_sig_hex, VerifyError};
@@ -96,15 +99,11 @@ pub struct VerifyEvent {
 /// Counter snapshot, shaped like the controller's other `*_stats()` accessors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyCacheStats {
-    /// Verifications answered from the cache. Prewarm lookups are not
-    /// counted (their verdicts are served — and counted — by the
-    /// evaluations that follow); only the curve math a prewarm miss runs
-    /// shows up, under `misses`.
+    /// Verifications answered from the cache (no curve math).
     pub hits: u64,
-    /// Lookups that had to run curve math (prewarm misses included — that
-    /// work really ran).
+    /// Verifications that had to run curve math.
     pub misses: u64,
-    /// Entries evicted to stay under the capacity cap.
+    /// Verdicts evicted to stay under the capacity cap.
     pub evictions: u64,
     /// Verifications that returned a valid verdict (cached or fresh).
     pub valid: u64,
@@ -118,17 +117,42 @@ pub struct VerifyCacheStats {
     pub unparseable: u64,
 }
 
-/// A cached verdict. `sig_ok` never changes for a given content hash; the
-/// window is re-checked on every hit because it depends on `now`.
-#[derive(Clone, Copy)]
-struct Entry {
-    sig_ok: bool,
-    /// Last-touched logical tick, for oldest-first eviction.
+/// A cached value and the logical tick it was last touched at, for
+/// oldest-first eviction.
+struct Slot<V> {
+    value: V,
     tick: u64,
 }
 
+#[derive(Default)]
 struct Shard {
-    map: HashMap<[u8; 32], Entry>,
+    /// Signature verdicts by bundle content hash. A verdict never changes
+    /// for a given hash; the window is re-checked on every hit because it
+    /// depends on `now`.
+    verdicts: HashMap<[u8; 32], Slot<bool>>,
+    /// Decompressed public keys by their 32 bytes, capped like the
+    /// verdicts.
+    keys: HashMap<[u8; 32], Slot<VerifyingKey>>,
+}
+
+/// Inserts `value` under `key`, first evicting the least recently touched
+/// entry if `map` already holds `cap` others. Returns whether it evicted.
+fn insert_capped<V>(
+    map: &mut HashMap<[u8; 32], Slot<V>>,
+    cap: usize,
+    key: [u8; 32],
+    value: V,
+    tick: u64,
+) -> bool {
+    let mut evicted = false;
+    if map.len() >= cap && !map.contains_key(&key) {
+        if let Some(oldest) = map.iter().min_by_key(|(_, s)| s.tick).map(|(k, _)| *k) {
+            map.remove(&oldest);
+            evicted = true;
+        }
+    }
+    map.insert(key, Slot { value, tick });
+    evicted
 }
 
 /// Sharded, capped cache of bundle-verification verdicts.
@@ -158,11 +182,7 @@ impl VerifyCache {
     pub fn with_capacity(capacity: usize) -> VerifyCache {
         let per_shard_cap = capacity.div_ceil(SHARDS).max(1);
         VerifyCache {
-            shards: std::array::from_fn(|_| {
-                Mutex::new(Shard {
-                    map: HashMap::new(),
-                })
-            }),
+            shards: std::array::from_fn(|_| Mutex::default()),
             per_shard_cap,
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -186,40 +206,11 @@ impl VerifyCache {
         items: &[S],
         now: u64,
     ) -> VerifyOutcome {
-        self.verify_inner(sig_hex, key_hex, items, now, true)
-    }
-
-    /// Like [`VerifyCache::verify_hex_at`] but without recording an audit
-    /// event or outcome/hit counters — used by `decide_batch` to prewarm
-    /// distinct bundles before the per-decision evaluations run (the
-    /// evaluations record the real events and outcomes). Only the work a
-    /// prewarm actually performs is counted: a cache miss's curve math and
-    /// any eviction it causes.
-    pub fn prewarm_hex_at<S: AsRef<str>>(
-        &self,
-        sig_hex: &str,
-        key_hex: &str,
-        items: &[S],
-        now: u64,
-    ) -> VerifyOutcome {
-        self.verify_inner(sig_hex, key_hex, items, now, false)
-    }
-
-    fn verify_inner<S: AsRef<str>>(
-        &self,
-        sig_hex: &str,
-        key_hex: &str,
-        items: &[S],
-        now: u64,
-        record: bool,
-    ) -> VerifyOutcome {
         let parsed = match parse_sig_hex(sig_hex) {
             Ok(p) => p,
             Err(_) => {
-                if record {
-                    self.unparseable.fetch_add(1, Ordering::Relaxed);
-                    self.record(VerifyOutcome::Unparseable, None);
-                }
+                self.unparseable.fetch_add(1, Ordering::Relaxed);
+                self.record(VerifyOutcome::Unparseable, None);
                 return VerifyOutcome::Unparseable;
             }
         };
@@ -228,27 +219,21 @@ impl VerifyCache {
         // rejection must not depend on whether it was ever cached.
         if let Some((not_before, not_after)) = parsed.window() {
             if now < not_before {
-                if record {
-                    self.not_yet_valid.fetch_add(1, Ordering::Relaxed);
-                    self.record(VerifyOutcome::NotYetValid, key_id);
-                }
+                self.not_yet_valid.fetch_add(1, Ordering::Relaxed);
+                self.record(VerifyOutcome::NotYetValid, key_id);
                 return VerifyOutcome::NotYetValid;
             }
             if now >= not_after {
-                if record {
-                    self.expired.fetch_add(1, Ordering::Relaxed);
-                    self.record(VerifyOutcome::Expired, key_id);
-                }
+                self.expired.fetch_add(1, Ordering::Relaxed);
+                self.record(VerifyOutcome::Expired, key_id);
                 return VerifyOutcome::Expired;
             }
         }
         let key = match PublicKey::from_hex(key_hex) {
             Some(k) => k,
             None => {
-                if record {
-                    self.unparseable.fetch_add(1, Ordering::Relaxed);
-                    self.record(VerifyOutcome::Unparseable, key_id);
-                }
+                self.unparseable.fetch_add(1, Ordering::Relaxed);
+                self.record(VerifyOutcome::Unparseable, key_id);
                 return VerifyOutcome::Unparseable;
             }
         };
@@ -257,61 +242,71 @@ impl VerifyCache {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards[(digest[0] as usize) % SHARDS];
 
-        if let Some(sig_ok) = {
+        let cached = {
             let mut guard = shard.lock().unwrap();
-            guard.map.get_mut(&digest).map(|e| {
-                e.tick = tick;
-                e.sig_ok
+            guard.verdicts.get_mut(&digest).map(|slot| {
+                slot.tick = tick;
+                slot.value
             })
-        } {
-            let outcome = if sig_ok {
-                VerifyOutcome::CachedValid
-            } else {
-                VerifyOutcome::Forged
-            };
-            if record {
+        };
+        let outcome = match cached {
+            Some(sig_ok) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                match outcome {
-                    VerifyOutcome::Forged => self.forged.fetch_add(1, Ordering::Relaxed),
-                    _ => self.valid.fetch_add(1, Ordering::Relaxed),
-                };
-                self.record(outcome, key_id);
-            }
-            return outcome;
-        }
-
-        // Miss: run the curve math outside any lock.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let sig_ok = parsed.signature_valid(&key, items);
-        {
-            let mut guard = shard.lock().unwrap();
-            if guard.map.len() >= self.per_shard_cap && !guard.map.contains_key(&digest) {
-                // Evict the least recently touched entry in this shard.
-                if let Some(oldest) = guard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.tick)
-                    .map(|(k, _)| *k)
-                {
-                    guard.map.remove(&oldest);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                if sig_ok {
+                    VerifyOutcome::CachedValid
+                } else {
+                    VerifyOutcome::Forged
                 }
             }
-            guard.map.insert(digest, Entry { sig_ok, tick });
-        }
-        let outcome = if sig_ok {
-            VerifyOutcome::FreshValid
-        } else {
-            VerifyOutcome::Forged
+            None => {
+                // Miss: run the curve math outside any lock. A key that
+                // names no curve point verifies nothing.
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let sig_ok = self
+                    .verifying_key(&key, tick)
+                    .is_some_and(|vk| parsed.signature_valid(&vk, items));
+                let mut guard = shard.lock().unwrap();
+                if insert_capped(
+                    &mut guard.verdicts,
+                    self.per_shard_cap,
+                    digest,
+                    sig_ok,
+                    tick,
+                ) {
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                if sig_ok {
+                    VerifyOutcome::FreshValid
+                } else {
+                    VerifyOutcome::Forged
+                }
+            }
         };
-        if record {
-            match outcome {
-                VerifyOutcome::Forged => self.forged.fetch_add(1, Ordering::Relaxed),
-                _ => self.valid.fetch_add(1, Ordering::Relaxed),
-            };
-            self.record(outcome, key_id);
-        }
+        match outcome {
+            VerifyOutcome::Forged => self.forged.fetch_add(1, Ordering::Relaxed),
+            _ => self.valid.fetch_add(1, Ordering::Relaxed),
+        };
+        self.record(outcome, key_id);
         outcome
+    }
+
+    /// The decompressed form of `key`, from the key map or decompressed now
+    /// (outside the lock) and stored; `None` if the key names no curve
+    /// point.
+    fn verifying_key(&self, key: &PublicKey, tick: u64) -> Option<VerifyingKey> {
+        let bytes = key.as_bytes();
+        let shard = &self.shards[(bytes[0] as usize) % SHARDS];
+        let known = shard.lock().unwrap().keys.get_mut(bytes).map(|slot| {
+            slot.tick = tick;
+            slot.value
+        });
+        if known.is_some() {
+            return known;
+        }
+        let decoded = VerifyingKey::from_bytes(bytes)?;
+        let mut guard = shard.lock().unwrap();
+        insert_capped(&mut guard.keys, self.per_shard_cap, *bytes, decoded, tick);
+        Some(decoded)
     }
 
     fn record(&self, outcome: VerifyOutcome, key_id: Option<String>) {
@@ -344,7 +339,7 @@ impl VerifyCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap().map.len())
+            .map(|s| s.lock().unwrap().verdicts.len())
             .sum()
     }
 
@@ -545,21 +540,45 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_does_not_record_events() {
-        let cache = VerifyCache::new();
+    fn decompressed_keys_are_reused_and_capped() {
+        let cache = VerifyCache::with_capacity(16);
+        let stored_keys = |c: &VerifyCache| -> usize {
+            c.shards.iter().map(|s| s.lock().unwrap().keys.len()).sum()
+        };
+        let signer = kp();
+        for i in 0..3 {
+            let items = [format!("item-{i}")];
+            let sig = sign_bundle_hex(&signer, &items);
+            let key = signer.public().to_hex();
+            assert_eq!(
+                cache.verify_hex_at(&sig, &key, &items, 0),
+                VerifyOutcome::FreshValid
+            );
+        }
+        assert_eq!(stored_keys(&cache), 1, "one signer, one decompression");
+        for i in 0..40 {
+            let other = KeyPair::from_secret(i);
+            let items = ["h"];
+            let sig = sign_bundle_hex(&other, &items);
+            let key = other.public().to_hex();
+            assert_eq!(
+                cache.verify_hex_at(&sig, &key, &items, 0),
+                VerifyOutcome::FreshValid
+            );
+        }
+        assert!(stored_keys(&cache) <= cache.capacity());
+        // A key that names no curve point (y = 2) verifies nothing and is
+        // not stored.
+        let before = stored_keys(&cache);
+        let mut bad = [0u8; 32];
+        bad[0] = 2;
         let items = ["h"];
-        let sig = sign_bundle_hex(&kp(), &items);
-        let key = kp().public().to_hex();
+        let sig = sign_bundle_hex(&signer, &items);
         assert_eq!(
-            cache.prewarm_hex_at(&sig, &key, &items, 0),
-            VerifyOutcome::FreshValid
+            cache.verify_hex_at(&sig, &crate::sha256::to_hex(&bad), &items, 0),
+            VerifyOutcome::Forged
         );
-        assert!(cache.drain_events().is_empty());
-        // But the verdict is cached for the real lookup.
-        assert_eq!(
-            cache.verify_hex_at(&sig, &key, &items, 0),
-            VerifyOutcome::CachedValid
-        );
+        assert_eq!(stored_keys(&cache), before);
     }
 
     #[test]

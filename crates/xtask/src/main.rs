@@ -628,11 +628,23 @@ mod tests {
         assert!(has_token("x unsafe_y unsafe", "unsafe"));
     }
 
-    fn blocking(source: &str) -> Vec<String> {
-        let dir = std::env::temp_dir().join(format!("xtask-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("probe.rs");
+    /// Writes `source` to `relative` under a directory of its own and
+    /// returns the file's path. The directory is named after the process and
+    /// a per-process call counter, so tests running in parallel never share
+    /// (and overwrite) a probe file.
+    fn probe(relative: &str, source: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir()
+            .join(format!("xtask-probe-{}-{call}", std::process::id()))
+            .join(relative);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, source).unwrap();
+        path
+    }
+
+    fn blocking(source: &str) -> Vec<String> {
+        let path = probe("probe.rs", source);
         let mut v = Vec::new();
         check_blocking_in_async(&path, &mut v);
         v
@@ -671,15 +683,12 @@ mod tests {
 
     #[test]
     fn toy_scheme_lint_flags_ungated_code_but_not_comments() {
-        let dir = std::env::temp_dir().join(format!("xtask-toy-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("probe.rs");
         // The fixture's module name is assembled at runtime so this source
         // file never contains the bare token the lint hunts for.
         let toy = String::from("sch") + "norr";
-        std::fs::write(
-            &path,
-            format!(
+        let path = probe(
+            "probe.rs",
+            &format!(
                 "// the {toy} scheme is mentioned here in prose\n\
                  #[cfg(feature = \"legacy-toy\")]\n\
                  use identxx_crypto::{toy};\n\
@@ -688,8 +697,7 @@ mod tests {
                  \n\
                  fn leak() {{ let _ = {toy}::sign(7, b\"m\"); }}\n"
             ),
-        )
-        .unwrap();
+        );
         let mut v = Vec::new();
         check_toy_scheme_containment(&path, &mut v);
         assert_eq!(v.len(), 1, "{v:?}");
@@ -698,12 +706,7 @@ mod tests {
 
     #[test]
     fn toy_scheme_home_modules_are_exempt() {
-        let dir = std::env::temp_dir()
-            .join(format!("xtask-toy-home-{}", std::process::id()))
-            .join("crates/crypto/src");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("schnorr.rs");
-        std::fs::write(&path, "pub fn schnorr_sign() {}\n").unwrap();
+        let path = probe("crates/crypto/src/schnorr.rs", "pub fn schnorr_sign() {}\n");
         let mut v = Vec::new();
         check_toy_scheme_containment(&path, &mut v);
         assert!(v.is_empty(), "{v:?}");
@@ -711,17 +714,13 @@ mod tests {
 
     #[test]
     fn safety_window_accepts_comment_and_rejects_bare_unsafe() {
-        let dir = std::env::temp_dir().join(format!("xtask-safety-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("probe.rs");
         let padding = "\n".repeat(SAFETY_WINDOW + 1);
-        std::fs::write(
-            &path,
-            format!(
+        let path = probe(
+            "probe.rs",
+            &format!(
                 "// SAFETY: fine\nlet x = unsafe {{ f() }};{padding}let y = unsafe {{ g() }};\n"
             ),
-        )
-        .unwrap();
+        );
         let mut v = Vec::new();
         check_safety_comments(&path, &mut v);
         assert_eq!(v.len(), 1, "{v:?}");
